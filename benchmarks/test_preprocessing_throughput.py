@@ -200,7 +200,9 @@ DELTA_WINDOW = 240  # contiguous 1%-of-nodes window the delta touches
 DELTA_INSERTIONS = 30
 DELTA_DELETIONS = 10
 DELTA_BLOCK_SIZE = 6000
-DELTA_SPEEDUP_TARGET = 5.0
+# Raised from 5.0 once updates became frontier-local: five fresh runs on a
+# 2-core host measured 7.9-8.5x (the floor sits >=30% under the lowest).
+DELTA_SPEEDUP_TARGET = 6.0
 
 
 def _ring_graph(num_nodes: int, width: int):
@@ -312,9 +314,10 @@ def _run_delta_suite() -> dict:
         "delta_window": DELTA_WINDOW,
         "delta_speedup_target": DELTA_SPEEDUP_TARGET,
         "delta_metric": (
-            "wall_seconds = one apply_update call (clone + frontier + patch + "
-            "verify + publish) on a ring graph with a contiguous 1%-window "
-            "delta; speedup_vs_full = from-scratch blocked re-propagation of "
+            "wall_seconds = one apply_update call (every phase: load, delta, "
+            "frontier, fingerprint, clone, patch, verify, publish) on a ring "
+            "graph with a contiguous 1%-window delta; it is the store's first "
+            "update, so it pays the one-time snapshot digest; speedup_vs_full = from-scratch blocked re-propagation of "
             "the updated graph over the same labeled rows, divided by "
             "wall_seconds; bit_identical_to_full compares the full packed "
             "stores byte for byte"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -359,6 +360,7 @@ class Session:
             self.dataset.graph = result.new_graph
             self.dataset.features = result.new_features
             if result.status == "applied":
+                began = time.perf_counter()
                 self._store = result.store
                 self._store_version = result.version
                 if result.version.startswith("mem"):
@@ -373,6 +375,9 @@ class Session:
                         )
                     except Exception as exc:  # engine keeps serving the old version
                         result.engine_errors.append(f"{type(exc).__name__}: {exc}")
+                swap = time.perf_counter() - began
+                result.timing["swap_seconds"] = swap
+                result.timing["total_seconds"] += swap
             self._last_update = {
                 "status": result.status,
                 "version": result.version,

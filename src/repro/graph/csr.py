@@ -16,6 +16,17 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def span_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat positions of the spans ``[starts[j], starts[j] + counts[j])``, in order.
+
+    The gather index behind every row-subset extraction from CSR arrays:
+    ``indices[span_positions(indptr[rows], degrees)]`` lists the rows'
+    entries back to back in O(entries), never touching the other rows.
+    """
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CSRGraph:
     """An immutable directed graph in CSR form.
@@ -30,6 +41,10 @@ class CSRGraph:
     num_nodes: int
     edge_weight: Optional[np.ndarray] = None
     name: str = field(default="graph")
+    #: the reversed graph, built by the first :meth:`reverse` call (or handed
+    #: over by :func:`repro.updates.delta.apply_delta`, which derives it from
+    #: the source graph's reverse plus the delta's edges)
+    _reverse: Optional["CSRGraph"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -121,20 +136,25 @@ class CSRGraph:
         destination while preserving the ascending source order inside each
         group, so the reversed rows come out sorted and any edge weights stay
         aligned with their edge.  (No scipy round-trip, which also means
-        uniform all-ones weights are preserved rather than dropped.)
+        uniform all-ones weights are preserved rather than dropped.)  The
+        result is cached: the graph is immutable, so it never goes stale.
         """
+        if self._reverse is not None:
+            return self._reverse
         counts = np.bincount(self.indices, minlength=self.num_nodes)
         new_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=new_indptr[1:])
         order = np.argsort(self.indices, kind="stable")
         sources = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
-        return CSRGraph(
+        reverse = CSRGraph(
             indptr=new_indptr,
             indices=sources[order],
             num_nodes=self.num_nodes,
             edge_weight=self.edge_weight[order] if self.edge_weight is not None else None,
             name=f"{self.name}.rev",
         )
+        object.__setattr__(self, "_reverse", reverse)
+        return reverse
 
     def row_block(
         self, start: int, stop: int

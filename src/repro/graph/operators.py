@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.builders import add_self_loops, symmetrize
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, span_positions
 
 
 def _degree_inv_sqrt(adj: sp.csr_matrix) -> np.ndarray:
@@ -163,15 +163,8 @@ def csr_rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     counts = matrix.indptr[rows + 1] - starts
     indptr = np.zeros(rows.size + 1, dtype=matrix.indptr.dtype)
     np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[-1])
-    if total:
-        # flat source positions: for row j, starts[j] + [0, counts[j])
-        offsets = np.repeat(starts - indptr[:-1], counts)
-        flat = np.arange(total, dtype=np.int64) + offsets
-        data, indices = matrix.data[flat], matrix.indices[flat]
-    else:
-        data = matrix.data[:0]
-        indices = matrix.indices[:0]
+    flat = span_positions(starts, counts)
+    data, indices = matrix.data[flat], matrix.indices[flat]
     return sp.csr_matrix(
         (data, indices, indptr), shape=(rows.size, matrix.shape[1]), copy=False
     )
@@ -217,62 +210,131 @@ def operator_support(name: str, graph: CSRGraph, **kwargs) -> tuple[CSRGraph, in
     return add_self_loops(symmetrize(graph)), radius
 
 
+def _graph_rows(graph: CSRGraph, rows: np.ndarray) -> sp.csr_matrix:
+    """Rows of ``graph``'s adjacency as a ``(len(rows), N)`` CSR block, in O(edges touched)."""
+    starts, stops = graph.neighbor_slices(rows)
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(stops - starts, out=indptr[1:])
+    flat = span_positions(starts, stops - starts)
+    data = graph.edge_weight[flat] if graph.edge_weight is not None else np.ones(flat.size)
+    return sp.csr_matrix(
+        (data, graph.indices[flat], indptr), shape=(rows.size, graph.num_nodes)
+    )
+
+
 class PartialOperator:
-    """Bit-identical row slices of a registered operator, built lazily.
+    """Bit-identical row slices of a registered operator, built row-locally.
 
     For the paper's 1-hop kernels (normalized adjacency, random walk) the
-    requested rows are built by replaying the full construction on a
-    row-sliced adjacency — the same scipy diagonal-product kernels over the
-    same per-row inputs, so values *and* the (scipy-version-dependent)
-    within-row storage order come out byte-identical to
-    ``csr_rows(build_operator(...), rows)``.  Setup is O(E) for the support
-    graph and degrees; an extraction is O(nnz(rows)), never the full
-    ``(N, N)`` operator.  Diffusion operators (PPR/heat) have no closed row
-    form and fall back to building the full operator once.
+    requested rows are built by replaying the full construction on row
+    slices: support rows (symmetrized with the graph's cached reverse, then
+    self-looped) through the same scipy elementwise kernels, degrees from
+    those rows, then the same left-associated diagonal products.  Values
+    *and* the (scipy-version-dependent) within-row storage order come out
+    byte-identical to ``csr_rows(build_operator(...), rows)``.
+
+    Nothing is built for the whole graph: an extraction costs O(nnz) of the
+    requested rows and of their neighbours' rows (whose degrees the right
+    normalization needs), and degrees are cached across extractions.  The one
+    exception is a weighted graph: the full build collapses a support whose
+    weights are all close to 1 to exact ones, a global property learned from
+    one full support build.  Diffusion operators (PPR/heat) have no closed
+    row form and fall back to building the full operator once.
     """
 
     def __init__(self, name: str, graph: CSRGraph, **kwargs) -> None:
         self.name = name.lower()
         if self.name not in OPERATOR_REGISTRY:
             raise KeyError(f"unknown operator {name!r}; available: {sorted(OPERATOR_REGISTRY)}")
+        self._graph = graph
         self._full: Optional[sp.csr_matrix] = None
-        self._adj: Optional[sp.csr_matrix] = None
-        self._left: Optional[np.ndarray] = None
-        self._right: Optional[np.ndarray] = None
-        if self.name in ("normalized_adjacency", "sym_norm_adj"):
-            support, _ = operator_support(self.name, graph, **kwargs)
-            self._adj = support.to_scipy()
-            inv_sqrt = _degree_inv_sqrt(self._adj)
-            self._left = inv_sqrt
-            self._right = sp.diags(inv_sqrt)
-        elif self.name == "random_walk":
-            support, _ = operator_support(self.name, graph, **kwargs)
-            self._adj = support.to_scipy()
-            degree = np.asarray(self._adj.sum(axis=1)).ravel()
-            with np.errstate(divide="ignore"):
-                inv = 1.0 / degree
-            inv[~np.isfinite(inv)] = 0.0
-            self._left = inv
-            self._right = None
-        else:
+        if self.name not in ("normalized_adjacency", "sym_norm_adj", "random_walk"):
             self._full = build_operator(self.name, graph, **kwargs)
+            return
+        self._symmetric = self.name != "random_walk"
+        self._undirected = self._symmetric and kwargs.get("make_undirected", True)
+        self._self_loops = kwargs.get("add_self_loop", True)
+        self._unit_weights = (
+            graph.edge_weight is None
+            or operator_support(self.name, graph, **kwargs)[0].edge_weight is None
+        )
+        #: sorted nodes whose normalization scale is known, and those scales
+        self._known = np.empty(0, dtype=np.int64)
+        self._scale = np.empty(0, dtype=np.float64)
 
-    @property
-    def support_matrix(self) -> sp.csr_matrix:
-        """CSR whose sparsity pattern is the operator's (row -> touched columns)."""
-        return self._adj if self._adj is not None else self._full
+    def _support_rows(self, rows: np.ndarray) -> sp.csr_matrix:
+        """Rows of the operator's support adjacency (what ``operator_support`` builds)."""
+        block = _graph_rows(self._graph, rows)
+        if self._undirected:
+            block = block.maximum(_graph_rows(self._graph.reverse(), rows))
+        if self._self_loops:
+            # add_self_loops: the A + I structure, diagonal max(old, 1)
+            block.sort_indices()
+            row_of = np.repeat(np.arange(rows.size), np.diff(block.indptr))
+            old_diag = np.zeros(rows.size)
+            on_diag = block.indices == rows[row_of]
+            old_diag[row_of[on_diag]] = block.data[on_diag]
+            eye = sp.csr_matrix(
+                (np.ones(rows.size), rows, np.arange(rows.size + 1)), shape=block.shape
+            )
+            block = (block + eye).tocsr()
+            block.sort_indices()
+            row_of = np.repeat(np.arange(rows.size), np.diff(block.indptr))
+            on_diag = block.indices == rows[row_of]
+            block.data[on_diag] = np.maximum(old_diag, 1.0)[row_of[on_diag]]
+        if self._unit_weights:
+            block.data[:] = 1.0
+        return block
+
+    def _learn(self, rows: np.ndarray) -> None:
+        """Cache the normalization scale of ``rows`` (not yet known) from their support."""
+        support = self._support_rows(rows)
+        if self._symmetric:
+            scale = _degree_inv_sqrt(support)
+        else:
+            degree = np.asarray(support.sum(axis=1)).ravel()
+            with np.errstate(divide="ignore"):
+                scale = 1.0 / degree
+            scale[~np.isfinite(scale)] = 0.0
+        known = np.concatenate([self._known, rows])
+        order = np.argsort(known, kind="stable")
+        self._known = known[order]
+        self._scale = np.concatenate([self._scale, scale])[order]
+
+    def _scales(self, rows: np.ndarray) -> np.ndarray:
+        """Normalization scales of ``rows`` (sorted unique), learning the missing ones."""
+        if self._known.size:
+            positions = np.minimum(np.searchsorted(self._known, rows), self._known.size - 1)
+            missing = rows[self._known[positions] != rows]
+        else:
+            missing = rows
+        if missing.size:
+            self._learn(missing)
+        return self._scale[np.searchsorted(self._known, rows)]
 
     def rows(self, rows: np.ndarray) -> sp.csr_matrix:
-        """The requested operator rows as a ``(len(rows), N)`` CSR block."""
+        """The requested operator rows (sorted unique ids) as a ``(len(rows), N)`` CSR block."""
         rows = np.asarray(rows, dtype=np.int64)
         if self._full is not None:
             return csr_rows(self._full, rows)
+        support = self._support_rows(rows)
         # replay the full build on the row slice: same left-associated
-        # diagonal products, same kernels, hence the same bytes per row
-        block = sp.diags(self._left[rows]) @ csr_rows(self._adj, rows)
-        if self._right is not None:
-            block = block @ self._right
-        return block.tocsr()
+        # diagonal products, same kernels, hence the same bytes per row.  The
+        # right factor only needs the columns these rows touch, so it runs
+        # over local column ids and the global ids are restored afterwards.
+        block = (sp.diags(self._scales(rows)) @ support).tocsr()
+        if not self._symmetric:
+            return block
+        columns = np.unique(support.indices)
+        local = sp.csr_matrix(
+            (block.data, np.searchsorted(columns, block.indices), block.indptr),
+            shape=(rows.size, columns.size),
+        )
+        block = (local @ sp.diags(self._scales(columns))).tocsr()
+        return sp.csr_matrix(
+            (block.data, columns[block.indices], block.indptr),
+            shape=(rows.size, self._graph.num_nodes),
+        )
 
 
 OperatorFn = Callable[..., sp.csr_matrix]

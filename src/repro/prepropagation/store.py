@@ -392,6 +392,7 @@ class FeatureStore:
         Stores persisted with ``meta.json`` restore their kernel-major
         ``(num_kernels, num_hops)`` structure and on-disk layout; legacy
         stores (no metadata) fall back to a single-kernel interpretation.
+        Hop matrices come back as read-only memory maps.
         """
         root = Path(root)
         node_ids = np.load(root / "node_ids.npy")
@@ -400,12 +401,13 @@ class FeatureStore:
 
         layout = meta["layout"] if meta else "hops"
         num_kernels = int(meta["num_kernels"]) if meta else 1
+        # map rather than read, in either layout: storage-resident stores may
+        # exceed host RAM, opening a store costs no pass over its bytes, and
+        # in-memory consumers materialize lazily through packed()
         if layout == "packed":
             packed_path = root / _PACKED_FILENAME
             if not packed_path.exists():
                 raise FileNotFoundError(f"no {_PACKED_FILENAME} found under {root}")
-            # map rather than read: storage-resident stores may exceed host RAM,
-            # and in-memory consumers materialize lazily through packed()
             packed = np.load(packed_path, mmap_mode="r")
             features = HopFeatures.from_packed(packed, node_ids, num_kernels=num_kernels)
             file_paths = [packed_path]
@@ -413,7 +415,7 @@ class FeatureStore:
             hop_paths = sorted(root.glob("hop_*.npy"))
             if not hop_paths:
                 raise FileNotFoundError(f"no hop files found under {root}")
-            flat = [np.load(p) for p in hop_paths]
+            flat = [np.load(p, mmap_mode="r") for p in hop_paths]
             if len(flat) % num_kernels:
                 raise ValueError(
                     f"{len(flat)} hop files under {root} do not divide into "

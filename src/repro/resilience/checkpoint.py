@@ -63,8 +63,8 @@ def digest_array(array: np.ndarray) -> str:
         return hasher.hexdigest()
     rows_per_slab = max(1, _DIGEST_SLAB_BYTES // max(array[0:1].nbytes, 1))
     for start in range(0, array.shape[0], rows_per_slab):
-        slab = np.ascontiguousarray(array[start : start + rows_per_slab])
-        hasher.update(slab.tobytes())
+        # hash the slab's buffer in place: no bytes copy for contiguous input
+        hasher.update(np.ascontiguousarray(array[start : start + rows_per_slab]).data)
     return hasher.hexdigest()
 
 

@@ -27,6 +27,12 @@ The update algorithm, end to end:
    ``CURRENT`` (:class:`~repro.updates.versions.VersionedStore`).  Readers
    pinned to the old version keep their bytes; new readers resolve the new
    one.
+
+Every step but the clone costs O(delta): the store opens as read-only maps,
+the graph is patched row by row, the frontier expands over cached reverses,
+patches are computed in frontier-local buffers, and the run's identity
+chains off the source version's recorded fingerprint instead of hashing the
+graph (:func:`_update_fingerprint`).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph
 from repro.graph.operators import PartialOperator
@@ -91,6 +98,33 @@ class UpdateResult:
         return int(self.patch_rows.size)
 
 
+class _PhaseClock:
+    """Phase boundaries from one running clock, so the phases sum to the total."""
+
+    def __init__(self) -> None:
+        self.began = self.last = time.perf_counter()
+        self.timing: Dict[str, float] = {}
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        key = f"{phase}_seconds"
+        self.timing[key] = self.timing.get(key, 0.0) + now - self.last
+        self.last = now
+
+    def stop(self) -> Dict[str, float]:
+        self.timing["total_seconds"] = self.last - self.began
+        return self.timing
+
+
+def _stored(node_ids: np.ndarray, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted ``nodes`` that have a store row, and those rows (O(nodes log N))."""
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    rows = np.searchsorted(node_ids, nodes)
+    hit = rows < node_ids.size
+    hit[hit] = node_ids[rows[hit]] == nodes[hit]
+    return nodes[hit], rows[hit]
+
+
 # --------------------------------------------------------------------------- #
 def compute_patches(
     new_graph: CSRGraph,
@@ -111,15 +145,19 @@ def compute_patches(
     source values as a full blocked re-propagation, so the patches match a
     from-scratch rebuild bit for bit.
 
+    Memory is frontier-local: hop ``h`` values live in a ``(|D[h]|, F)``
+    buffer indexed by position in ``D[h]``, and the operator rows of ``D[h]``
+    have their columns remapped (``searchsorted``) to positions in
+    ``D[h-1]``.  Remapping changes no multiply-accumulate: each output row
+    still sums the same products in the same storage order.
+
     ``partials`` lets callers share pre-built per-kernel
     :class:`PartialOperator` objects across calls (operator normalization is
     a pure function of the graph, so sharing cannot change any byte); the
     dependency expansion itself always runs fresh from ``target_nodes``.
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
-    target_nodes = np.unique(np.asarray(target_nodes, dtype=np.int64))
-    patch_nodes = np.intersect1d(target_nodes, node_ids)
-    patch_rows = np.searchsorted(node_ids, patch_nodes)
+    patch_nodes, patch_rows = _stored(node_ids, target_nodes)
     num_hops = config.num_hops
     dtype = np.dtype(config.dtype)
     accumulate_dtype = np.dtype(config.accumulate_dtype)
@@ -144,52 +182,76 @@ def compute_patches(
         deps[num_hops] = patch_nodes
         for hop in range(num_hops, 0, -1):
             rows = partial.rows(deps[hop])
-            if rows.dtype != accumulate_dtype:
-                rows = rows.astype(accumulate_dtype)
-            op_rows[hop] = rows
-            deps[hop - 1] = np.union1d(patch_nodes, np.unique(rows.indices))
+            deps[hop - 1] = np.union1d(patch_nodes, rows.indices)
+            op_rows[hop] = sp.csr_matrix(
+                (
+                    rows.data.astype(accumulate_dtype, copy=False),
+                    np.searchsorted(deps[hop - 1], rows.indices),
+                    rows.indptr,
+                ),
+                shape=(deps[hop].size, deps[hop - 1].size),
+            )
         # forward pass: hop h values of the new graph at exactly deps[h]
-        buffer = np.zeros((new_graph.num_nodes, new_features.shape[1]), dtype=accumulate_dtype)
-        buffer[deps[0]] = new_features[deps[0]].astype(accumulate_dtype, copy=False)
+        values = new_features[deps[0]].astype(accumulate_dtype, copy=False)
         patches[k * (num_hops + 1)][:] = new_features[patch_nodes].astype(dtype, copy=False)
         for hop in range(1, num_hops + 1):
-            values = op_rows[hop] @ buffer
+            values = op_rows[hop] @ values
             positions = np.searchsorted(deps[hop], patch_nodes)
             patches[k * (num_hops + 1) + hop][:] = values[positions].astype(dtype, copy=False)
-            buffer[deps[hop]] = values
     return patch_nodes, patch_rows, patches
 
 
 def _update_fingerprint(
-    graph: CSRGraph,
-    features: np.ndarray,
-    delta: GraphDelta,
-    config: PropagationConfig,
-    node_ids: np.ndarray,
-    layout: str,
+    source_fingerprint: str,
     source_version: str,
+    delta_fingerprint: str,
+    config: PropagationConfig,
+    layout: str,
 ) -> str:
-    """Identity of one update run: same inputs + same source ⇒ resumable."""
-    parts = {
-        "indptr": digest_array(graph.indptr),
-        "indices": digest_array(graph.indices),
-        "edge_weight": (
-            "none" if graph.edge_weight is None else digest_array(graph.edge_weight)
-        ),
-        "features": digest_array(features),
-        "delta": delta.fingerprint(),
-        "node_ids": digest_array(node_ids),
-        "num_hops": config.num_hops,
-        "operators": ",".join(config.operators),
-        "operator_kwargs": json.dumps(
-            [config.kwargs_for(k) for k in range(config.num_kernels)], sort_keys=True
-        ),
-        "dtype": str(np.dtype(config.dtype)),
-        "accumulate_dtype": str(np.dtype(config.accumulate_dtype)),
-        "layout": layout,
-        "source_version": source_version,
-    }
-    return digest_parts(parts)
+    """Identity of one update run: the source version's identity, the delta, the config.
+
+    A chain, not a content hash: same source + same delta + same config ⇒
+    same run (resumable, or already published).  Deltas have overwrite
+    semantics, so a delta re-submitted against its own result is the same
+    update and changes nothing.
+    """
+    return digest_parts(
+        {
+            "source": source_fingerprint,
+            "source_version": source_version,
+            "delta": delta_fingerprint,
+            "num_hops": config.num_hops,
+            "operators": ",".join(config.operators),
+            "operator_kwargs": json.dumps(
+                [config.kwargs_for(k) for k in range(config.num_kernels)], sort_keys=True
+            ),
+            "dtype": str(np.dtype(config.dtype)),
+            "accumulate_dtype": str(np.dtype(config.accumulate_dtype)),
+            "layout": layout,
+        }
+    )
+
+
+def _content_fingerprint(
+    graph: CSRGraph, features: np.ndarray, node_ids: np.ndarray, version: str
+) -> str:
+    """Digest of the snapshot a version without a recorded identity was built from.
+
+    Only the base version (before its first update) or a version published
+    without a lineage record needs one; it is recorded, so it is computed once.
+    """
+    return digest_parts(
+        {
+            "indptr": digest_array(graph.indptr),
+            "indices": digest_array(graph.indices),
+            "edge_weight": (
+                "none" if graph.edge_weight is None else digest_array(graph.edge_weight)
+            ),
+            "features": digest_array(features),
+            "node_ids": digest_array(node_ids),
+            "version": version,
+        }
+    )
 
 
 def _validate_config(store: FeatureStore, config: PropagationConfig, features: np.ndarray) -> None:
@@ -220,43 +282,6 @@ def _journal_append(
     journal.append(entry)
 
 
-_LAST_UPDATE_FILENAME = "LAST_UPDATE.json"
-
-
-def _record_last_update(
-    versions: VersionedStore, fingerprint: str, source_version: str, target: str
-) -> None:
-    """Durably note the identity of the last published update.
-
-    This is what makes :func:`apply_update` idempotent across a lost
-    acknowledgement: a caller that retries an update whose success it never
-    saw gets the already-published version back instead of applying the same
-    delta a second time on top of its own result.
-    """
-    path = versions.versions_root / _LAST_UPDATE_FILENAME
-    temp = path.with_suffix(".tmp")
-    temp.write_text(
-        json.dumps(
-            {
-                "fingerprint": fingerprint,
-                "source_version": source_version,
-                "target_version": target,
-            },
-            indent=2,
-        )
-    )
-    os.replace(temp, path)
-
-
-def _load_last_update(versions: VersionedStore) -> Optional[dict]:
-    try:
-        return json.loads(
-            (versions.versions_root / _LAST_UPDATE_FILENAME).read_text()
-        )
-    except (FileNotFoundError, json.JSONDecodeError):
-        return None
-
-
 def _sample(rng: np.random.Generator, population: np.ndarray, count: int) -> np.ndarray:
     if population.size <= count:
         return population
@@ -284,8 +309,7 @@ def _verify_staged(
     Deterministic: the sampling RNG is seeded from the run fingerprint.
     """
     rng = np.random.default_rng(int(fingerprint[:16], 16))
-    staged = FeatureStore.load(staged_store)
-    staged_mats = staged.matrices(memmap=True)
+    staged_mats = FeatureStore.load(staged_store).matrices()
     node_ids = source_store.node_ids
     sample_nodes = _sample(rng, patch_nodes, max(1, verify_samples))
     check_nodes, check_rows, recomputed = compute_patches(
@@ -301,7 +325,7 @@ def _verify_staged(
     unpatched = np.setdiff1d(np.arange(node_ids.size), patch_rows, assume_unique=True)
     sample_rows = _sample(rng, unpatched, max(1, verify_samples))
     if sample_rows.size:
-        source_mats = source_store.matrices(memmap=source_store.is_file_backed)
+        source_mats = source_store.matrices()
         for m, matrix in enumerate(staged_mats):
             got = np.ascontiguousarray(matrix[sample_rows])
             want = np.ascontiguousarray(source_mats[m][sample_rows])
@@ -339,6 +363,81 @@ def _clone_intact(staged_store: Path, journaled_sizes: Dict[str, int]) -> bool:
     return True
 
 
+def _write_patches(
+    staged_store: Path,
+    patch_rows: np.ndarray,
+    patches: Sequence[np.ndarray],
+    trusted: Dict[int, str],
+    journal: PhaseJournal,
+    fault_plan: Optional[FaultPlan],
+) -> None:
+    """Write each hop matrix's patch rows unless the journal vouches for them."""
+    matrices, memmaps = open_store_arrays(staged_store)
+    written: List[int] = []
+    for m, patch in enumerate(patches):
+        digest = trusted.get(m)
+        if digest is not None and digest_array(matrices[m][patch_rows]) == digest:
+            continue  # journaled and intact: skip the write
+        spec = fault_point("update.apply", plan=fault_plan, stage="patch", matrix=m)
+        if spec is None or spec.kind != "leak":
+            write_row_runs(matrices[m], patch_rows, patch)
+        written.append(m)
+    if written:
+        # one msync for the whole batch — the packed layout backs every
+        # matrix with a single memmap, so flushing inside the loop synced
+        # the same file M times.  Entries are journaled only after the
+        # flush, so a trusted digest always vouches for durable bytes.
+        for memmapped in memmaps:
+            memmapped.flush()
+    for m in written:
+        _journal_append(
+            journal,
+            {"phase": "patch", "matrix": m, "rows_digest": digest_array(matrices[m][patch_rows])},
+            fault_plan,
+        )
+
+
+@dataclass
+class _Staging:
+    """What a resumable staging directory's journal already vouches for."""
+
+    target: str
+    clone_sizes: Optional[Dict[str, int]] = None
+    patches: Dict[int, str] = field(default_factory=dict)
+    renamed: bool = False
+
+
+def _read_json(path: Path) -> Optional[dict]:
+    try:
+        return json.loads(path.read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
+
+
+def _resumable(
+    journal: PhaseJournal, info: Optional[dict], fingerprint: str, source_version: str
+) -> Optional[_Staging]:
+    """The journaled prefix of this exact run, or None if staging holds another run."""
+    manifest = journal.load_manifest()
+    if (
+        manifest is None
+        or info is None
+        or manifest.fingerprint != fingerprint
+        or info.get("source_version") != source_version
+    ):
+        return None
+    staging = _Staging(target=str(info.get("target_version")))
+    for entry in journal.entries():
+        phase = entry.get("phase")
+        if phase == "clone":
+            staging.clone_sizes = entry.get("files", {})
+        elif phase == "patch":
+            staging.patches[int(entry["matrix"])] = entry.get("rows_digest", "")
+        elif phase in ("rename", "publish"):
+            staging.renamed = True
+    return staging
+
+
 def apply_update(
     root: Path,
     graph: CSRGraph,
@@ -360,9 +459,15 @@ def apply_update(
 
     An empty effective patch (the delta touches no stored row) is a
     ``status="noop"`` result: no new version is published.
+
+    The run's identity chains off the current version's recorded identity
+    (:func:`_update_fingerprint`).  If the current version already is this
+    delta's result — the acknowledgement of a published update was lost, or
+    the delta is re-submitted against its own result — that version is
+    returned and nothing is published.  Every phase is timed off one clock:
+    ``timing`` sums to ``total_seconds``.
     """
-    wall_began = time.perf_counter()
-    timing: Dict[str, float] = {}
+    clock = _PhaseClock()
     versions = VersionedStore(Path(root))
     source_version = versions.current_version()
     source_root = versions.path_for(source_version)
@@ -370,223 +475,77 @@ def apply_update(
     _validate_config(source_store, config, features)
     delta.validate_for(graph)
     node_ids = source_store.node_ids
-
+    clock.lap("load")
     new_graph = apply_delta(graph, delta)
     new_features = apply_features(features, delta)
-
-    began = time.perf_counter()
+    clock.lap("delta")
     affected = affected_frontier(graph, new_graph, delta, config)
-    timing["frontier_seconds"] = time.perf_counter() - began
+    patch_nodes, patch_rows = _stored(node_ids, affected)
+    clock.lap("frontier")
 
-    if np.intersect1d(affected, node_ids).size == 0:
-        timing["total_seconds"] = time.perf_counter() - wall_began
+    def result(version: str, previous: str, store: FeatureStore, resumed: bool) -> UpdateResult:
+        noop = patch_rows.size == 0
         return UpdateResult(
-            version=source_version,
-            previous_version=source_version,
-            status="noop",
+            version=version,
+            previous_version=previous,
+            status="noop" if noop else "applied",
             affected_nodes=int(affected.size),
-            patch_rows=np.empty(0, dtype=np.int64),
-            resumed=False,
-            verified=False,
-            store=source_store,
+            patch_rows=patch_rows,
+            resumed=resumed,
+            verified=not noop,
+            store=store,
             new_graph=new_graph,
             new_features=new_features,
-            timing=timing,
+            timing=clock.stop(),
         )
 
-    fingerprint = _update_fingerprint(
-        graph, features, delta, config, node_ids, source_store.layout, source_version
-    )
+    if patch_rows.size == 0:
+        return result(source_version, source_version, source_store, resumed=False)
 
-    last = _load_last_update(versions)
-    if last is not None and last.get("target_version") == source_version:
-        prior = _update_fingerprint(
-            graph,
-            features,
-            delta,
-            config,
-            node_ids,
-            source_store.layout,
-            str(last.get("source_version")),
-        )
-        if last.get("fingerprint") == prior:
-            # this exact update is already published and current — the
-            # caller's acknowledgement was lost, not the update.  Hand the
-            # published version back instead of applying the delta twice,
-            # sweeping any staging leftover the crashed publisher kept.
-            leftover = versions.staging_root / _UPDATE_INFO_FILENAME
-            try:
-                leftover_info = json.loads(leftover.read_text())
-            except (FileNotFoundError, json.JSONDecodeError):
-                leftover_info = None
-            if (
-                leftover_info is not None
-                and leftover_info.get("target_version") == source_version
-            ):
-                shutil.rmtree(versions.staging_root, ignore_errors=True)
-            timing["total_seconds"] = time.perf_counter() - wall_began
-            return UpdateResult(
-                version=source_version,
-                previous_version=str(last.get("source_version")),
-                status="applied",
-                affected_nodes=int(affected.size),
-                patch_rows=np.searchsorted(
-                    node_ids, np.intersect1d(affected, node_ids)
-                ),
-                resumed=True,
-                verified=True,
-                store=source_store,
-                new_graph=new_graph,
-                new_features=new_features,
-                timing=timing,
-            )
-
+    # ------------- identity: chained off the source version's record -------- #
     staging = versions.staging_root
-    staged_store = staging / _STAGED_STORE_DIRNAME
     info_path = staging / _UPDATE_INFO_FILENAME
+    info = _read_json(info_path)
+    delta_fingerprint = delta.fingerprint()
+    layout = source_store.layout
+    record = versions.lineage().get(source_version)
+    if record is not None and record["source_version"] is not None:
+        this_update = _update_fingerprint(
+            record["source_fingerprint"], record["source_version"], delta_fingerprint, config, layout
+        )
+        if record["fingerprint"] == this_update:
+            # the current version is this very update's result: hand it
+            # back, sweeping any staging leftover a crashed publisher kept
+            if info is not None and info.get("target_version") == source_version:
+                shutil.rmtree(staging, ignore_errors=True)
+            clock.lap("fingerprint")
+            return result(source_version, record["source_version"], source_store, resumed=True)
+    if record is not None:
+        source_fingerprint = record["fingerprint"]
+    else:
+        source_fingerprint = _content_fingerprint(graph, features, node_ids, source_version)
+        versions.record_lineage(source_version, source_fingerprint)
+    fingerprint = _update_fingerprint(
+        source_fingerprint, source_version, delta_fingerprint, config, layout
+    )
+    clock.lap("fingerprint")
+
+    # ------------- resume state: what does the journal already vouch for? --- #
     journal = PhaseJournal(staging)
-
-    # ------------- resume state: what does the journal already vouch for? ---
-    target: Optional[str] = None
-    trusted_clone_sizes: Optional[Dict[str, int]] = None
-    trusted_patches: Dict[int, str] = {}
-    renamed = False
-    resumed = False
-    if resume:
-        manifest = journal.load_manifest()
-        info = None
-        if info_path.exists():
-            try:
-                info = json.loads(info_path.read_text())
-            except json.JSONDecodeError:
-                info = None
-        if (
-            manifest is not None
-            and info is not None
-            and info.get("target_version") == source_version
-            and manifest.fingerprint
-            == _update_fingerprint(
-                graph,
-                features,
-                delta,
-                config,
-                node_ids,
-                source_store.layout,
-                str(info.get("source_version")),
-            )
-        ):
-            # CURRENT already points at this exact update's target: the crash
-            # hit between repointing CURRENT and journaling the publish entry.
-            # Re-running must not apply the delta a second time on top of its
-            # own result — finish the cleanup and hand back the published
-            # version.
-            previous = str(info.get("source_version"))
-            _record_last_update(
-                versions, manifest.fingerprint, previous, source_version
-            )
-            journal.discard()
-            journal.close()
-            shutil.rmtree(staging, ignore_errors=True)
-            timing["total_seconds"] = time.perf_counter() - wall_began
-            return UpdateResult(
-                version=source_version,
-                previous_version=previous,
-                status="applied",
-                affected_nodes=int(affected.size),
-                patch_rows=np.searchsorted(
-                    node_ids, np.intersect1d(affected, node_ids)
-                ),
-                resumed=True,
-                verified=True,
-                store=source_store,
-                new_graph=new_graph,
-                new_features=new_features,
-                timing=timing,
-            )
-        if (
-            manifest is not None
-            and manifest.fingerprint == fingerprint
-            and info is not None
-            and info.get("source_version") == source_version
-        ):
-            target = info.get("target_version")
-            for entry in journal.entries():
-                phase = entry.get("phase")
-                if phase == "clone":
-                    trusted_clone_sizes = entry.get("files", {})
-                elif phase == "patch":
-                    trusted_patches[int(entry["matrix"])] = entry.get("rows_digest", "")
-                elif phase == "rename":
-                    renamed = True
-                elif phase == "publish":
-                    # fully published before the crash; finish the cleanup
-                    if versions.current_version() != target:
-                        versions.set_current(target)
-                    _record_last_update(versions, fingerprint, source_version, target)
-                    journal.discard()
-                    shutil.rmtree(staging, ignore_errors=True)
-                    timing["total_seconds"] = time.perf_counter() - wall_began
-                    return UpdateResult(
-                        version=target,
-                        previous_version=source_version,
-                        status="applied",
-                        affected_nodes=int(affected.size),
-                        patch_rows=np.searchsorted(
-                            node_ids, np.intersect1d(affected, node_ids)
-                        ),
-                        resumed=True,
-                        verified=True,
-                        store=FeatureStore.load(versions.path_for(target)),
-                        new_graph=new_graph,
-                        new_features=new_features,
-                        timing=timing,
-                    )
-            resumed = bool(trusted_clone_sizes or renamed)
-        elif manifest is not None or staging.exists():
-            logger.info("update: staging at %s belongs to a different run; invalidating", staging)
-            journal.close()
-            shutil.rmtree(staging, ignore_errors=True)
-
-    if renamed and not (staged_store / "meta.json").exists():
-        # the staged store was renamed into place; only CURRENT (and cleanup)
-        # remain.  The rename itself is atomic, so the target is complete.
-        target_dir = versions.path_for(target)
-        if not (target_dir / "meta.json").exists():
-            # rename intent journaled but neither staged nor target store
-            # exists — unrecoverable staging state; roll back to a fresh run
-            logger.warning("update: rename intent without store; restarting from clone")
-            journal.close()
-            shutil.rmtree(staging, ignore_errors=True)
-            renamed = False
-            resumed = False
-            trusted_clone_sizes = None
-            trusted_patches = {}
-        else:
-            fault_point("update.swap", plan=fault_plan, stage="current", target=target)
-            versions.set_current(target)
-            _record_last_update(versions, fingerprint, source_version, target)
-            _journal_append(journal, {"phase": "publish", "target": target}, fault_plan)
-            journal.discard()
-            shutil.rmtree(staging, ignore_errors=True)
-            timing["total_seconds"] = time.perf_counter() - wall_began
-            return UpdateResult(
-                version=target,
-                previous_version=source_version,
-                status="applied",
-                affected_nodes=int(affected.size),
-                patch_rows=np.searchsorted(node_ids, np.intersect1d(affected, node_ids)),
-                resumed=True,
-                verified=True,
-                store=FeatureStore.load(target_dir),
-                new_graph=new_graph,
-                new_features=new_features,
-                timing=timing,
-            )
-
-    # ------------- fresh (or partially-trusted) staging ---------------------
-    if target is None:
-        target = versions.next_version()
-    if journal.load_manifest() is None or not resumed:
+    staged = _resumable(journal, info, fingerprint, source_version) if resume else None
+    staged_store = staging / _STAGED_STORE_DIRNAME
+    if (
+        staged is not None
+        and staged.renamed
+        and not (staged_store / "meta.json").exists()
+        and not (versions.path_for(staged.target) / "meta.json").exists()
+    ):
+        logger.warning("update: rename intent without store; restarting from clone")
+        staged = None
+    resumed = staged is not None and (staged.clone_sizes is not None or staged.renamed)
+    if not resumed:
+        if staging.exists():
+            logger.info("update: discarding staging at %s", staging)
         journal.close()
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True, exist_ok=True)
@@ -594,7 +553,7 @@ def apply_update(
         journal.write_manifest(
             RunManifest(
                 fingerprint=fingerprint,
-                layout=source_store.layout,
+                layout=layout,
                 num_kernels=config.num_kernels,
                 num_hops=config.num_hops,
                 num_rows=int(node_ids.size),
@@ -604,131 +563,86 @@ def apply_update(
                 block_size=0,
             )
         )
+        staged = _Staging(target=versions.next_version())
         info_path.write_text(
             json.dumps(
-                {"source_version": source_version, "target_version": target}, indent=2
+                {"source_version": source_version, "target_version": staged.target}, indent=2
             )
         )
         _fsync_file(info_path)
-        trusted_clone_sizes = None
-        trusted_patches = {}
+    target = staged.target
+    target_dir = versions.path_for(target)
 
     completed = False
     try:
-        # ------------- clone --------------------------------------------- #
-        began = time.perf_counter()
-        if trusted_clone_sizes is not None and _clone_intact(staged_store, trusted_clone_sizes):
-            logger.info("update: resuming with intact staged clone at %s", staged_store)
+        if staged.renamed and not (staged_store / "meta.json").exists():
+            # renamed into place before the crash (the rename is atomic, so
+            # the target is complete); only CURRENT and the cleanup remain
+            fault_point("update.swap", plan=fault_plan, stage="current", target=target)
+            versions.set_current(target)
         else:
-            if trusted_clone_sizes is not None:
-                logger.warning("update: journaled clone is damaged; recloning")
-                trusted_patches = {}
-            sizes = _clone_source(source_root, staged_store, fault_plan)
-            _journal_append(journal, {"phase": "clone", "files": sizes}, fault_plan)
-        timing["clone_seconds"] = time.perf_counter() - began
-
-        # ------------- patch --------------------------------------------- #
-        began = time.perf_counter()
-        partials = [
-            PartialOperator(name, new_graph, **config.kwargs_for(k))
-            for k, name in enumerate(config.operators)
-        ]
-        patch_nodes, patch_rows, patches = compute_patches(
-            new_graph, new_features, config, node_ids, affected, partials=partials
-        )
-        matrices, memmaps = open_store_arrays(staged_store)
-        written: List[int] = []
-        for m, patch in enumerate(patches):
-            digest = trusted_patches.get(m)
-            if digest is not None and digest_array(matrices[m][patch_rows]) == digest:
-                continue  # journaled and intact: skip the write
-            spec = fault_point(
-                "update.apply", plan=fault_plan, stage="patch", matrix=m
+            if staged.clone_sizes is not None and _clone_intact(staged_store, staged.clone_sizes):
+                logger.info("update: resuming with intact staged clone at %s", staged_store)
+            else:
+                if staged.clone_sizes is not None:
+                    logger.warning("update: journaled clone is damaged; recloning")
+                    staged.patches = {}
+                sizes = _clone_source(source_root, staged_store, fault_plan)
+                _journal_append(journal, {"phase": "clone", "files": sizes}, fault_plan)
+            clock.lap("clone")
+            partials = [
+                PartialOperator(name, new_graph, **config.kwargs_for(k))
+                for k, name in enumerate(config.operators)
+            ]
+            _, _, patches = compute_patches(
+                new_graph, new_features, config, node_ids, patch_nodes, partials=partials
             )
-            if spec is None or spec.kind != "leak":
-                write_row_runs(matrices[m], patch_rows, patch)
-            written.append(m)
-        if written:
-            # one msync for the whole batch — the packed layout backs every
-            # matrix with a single memmap, so flushing inside the loop synced
-            # the same file M times.  Entries are journaled only after the
-            # flush, so a trusted digest always vouches for durable bytes.
-            for memmapped in memmaps:
-                memmapped.flush()
-        for m in written:
-            _journal_append(
-                journal,
-                {
-                    "phase": "patch",
-                    "matrix": m,
-                    "rows_digest": digest_array(matrices[m][patch_rows]),
-                },
-                fault_plan,
-            )
-        del matrices, memmaps
-        timing["patch_seconds"] = time.perf_counter() - began
-
-        # ------------- verify (rollback on mismatch) ---------------------- #
-        began = time.perf_counter()
-        try:
-            _verify_staged(
-                staged_store,
-                source_store,
-                new_graph,
-                new_features,
-                config,
-                patch_nodes,
-                patch_rows,
-                verify_samples,
-                fingerprint,
-                partials=partials,
-            )
-        except UpdateVerificationError:
-            journal.discard()
-            shutil.rmtree(staging, ignore_errors=True)
-            logger.warning("update: verification failed; staging rolled back")
-            raise
-        timing["verify_seconds"] = time.perf_counter() - began
-
-        # ------------- publish -------------------------------------------- #
-        began = time.perf_counter()
-        _journal_append(journal, {"phase": "rename", "target": target}, fault_plan)
-        fault_point("update.swap", plan=fault_plan, stage="rename", target=target)
-        target_dir = versions.publish(staged_store, target)
-        _record_last_update(versions, fingerprint, source_version, target)
+            _write_patches(staged_store, patch_rows, patches, staged.patches, journal, fault_plan)
+            clock.lap("patch")
+            try:
+                _verify_staged(
+                    staged_store,
+                    source_store,
+                    new_graph,
+                    new_features,
+                    config,
+                    patch_nodes,
+                    patch_rows,
+                    verify_samples,
+                    fingerprint,
+                    partials=partials,
+                )
+            except UpdateVerificationError:
+                journal.discard()
+                shutil.rmtree(staging, ignore_errors=True)
+                logger.warning("update: verification failed; staging rolled back")
+                raise
+            clock.lap("verify")
+            versions.record_lineage(target, fingerprint, source_version, source_fingerprint)
+            _journal_append(journal, {"phase": "rename", "target": target}, fault_plan)
+            fault_point("update.swap", plan=fault_plan, stage="rename", target=target)
+            versions.publish(staged_store, target)
         _journal_append(journal, {"phase": "publish", "target": target}, fault_plan)
         journal.discard()
         shutil.rmtree(staging, ignore_errors=True)
-        timing["publish_seconds"] = time.perf_counter() - began
+        clock.lap("publish")
         completed = True
     finally:
         journal.close()
         if not completed:
             logger.info("update: interrupted; resumable staging kept at %s", staging)
 
-    timing["total_seconds"] = time.perf_counter() - wall_began
+    update = result(target, source_version, FeatureStore.load(target_dir), resumed=resumed)
     logger.info(
         "update %s -> %s: %d affected node(s), %d store row(s) patched in %.3fs%s",
         source_version,
         target,
         affected.size,
         patch_rows.size,
-        timing["total_seconds"],
+        update.timing["total_seconds"],
         " [resumed]" if resumed else "",
     )
-    return UpdateResult(
-        version=target,
-        previous_version=source_version,
-        status="applied",
-        affected_nodes=int(affected.size),
-        patch_rows=patch_rows,
-        resumed=resumed,
-        verified=True,
-        store=FeatureStore.load(target_dir),
-        new_graph=new_graph,
-        new_features=new_features,
-        timing=timing,
-    )
+    return update
 
 
 # --------------------------------------------------------------------------- #
@@ -749,39 +663,31 @@ def apply_memory_update(
     """
     _validate_config(store, config, features)
     delta.validate_for(graph)
-    wall_began = time.perf_counter()
+    clock = _PhaseClock()
     new_graph = apply_delta(graph, delta)
     new_features = apply_features(features, delta)
+    clock.lap("delta")
     affected = affected_frontier(graph, new_graph, delta, config)
+    clock.lap("frontier")
     node_ids = store.node_ids
     patch_nodes, patch_rows, patches = compute_patches(
         new_graph, new_features, config, node_ids, affected
     )
-    if patch_nodes.size == 0:
-        return UpdateResult(
-            version=version,
-            previous_version=version,
-            status="noop",
-            affected_nodes=int(affected.size),
-            patch_rows=patch_rows,
-            resumed=False,
-            verified=False,
-            store=store,
-            new_graph=new_graph,
-            new_features=new_features,
-            timing={"total_seconds": time.perf_counter() - wall_began},
+    clock.lap("patch")
+    new_store = store
+    if patch_nodes.size:
+        packed = np.array(store.packed_matrix(), copy=True)
+        for m, patch in enumerate(patches):
+            packed[m][patch_rows] = patch
+        hop_features = HopFeatures.from_packed(
+            packed, node_ids.copy(), num_kernels=store.num_kernels
         )
-    packed = np.array(store.packed_matrix(), copy=True)
-    for m, patch in enumerate(patches):
-        packed[m][patch_rows] = patch
-    hop_features = HopFeatures.from_packed(
-        packed, node_ids.copy(), num_kernels=store.num_kernels
-    )
-    new_store = FeatureStore(hop_features, root=None, layout=store.layout)
+        new_store = FeatureStore(hop_features, root=None, layout=store.layout)
+        clock.lap("clone")
     return UpdateResult(
         version=version,
         previous_version=version,
-        status="applied",
+        status="applied" if patch_nodes.size else "noop",
         affected_nodes=int(affected.size),
         patch_rows=patch_rows,
         resumed=False,
@@ -789,5 +695,5 @@ def apply_memory_update(
         store=new_store,
         new_graph=new_graph,
         new_features=new_features,
-        timing={"total_seconds": time.perf_counter() - wall_began},
+        timing=clock.stop(),
     )

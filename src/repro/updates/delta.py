@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, span_positions
 from repro.resilience.checkpoint import digest_array, digest_parts
 
 __all__ = ["GraphDelta", "apply_delta", "apply_features"]
@@ -222,49 +221,86 @@ def _directed_edges(delta: GraphDelta) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return deletions, insertions, weights
 
 
-def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
-    """Return the graph with ``delta`` applied (deletions, then insertions)."""
-    delta.validate_for(graph)
-    if delta.insertions.shape[0] == 0 and delta.deletions.shape[0] == 0:
-        return graph
+def _patch_rows(
+    graph: CSRGraph, deletions: np.ndarray, insertions: np.ndarray, ins_weights: np.ndarray
+) -> CSRGraph:
+    """``graph`` with directed deletions, then insertions, rewriting only touched rows.
+
+    Untouched rows are copied as whole spans; each touched row is rebuilt
+    from its surviving entries plus its insertions, sorted by column.  For a
+    graph in canonical CSR form (sorted, duplicate-free rows, which every
+    builder here produces) the result is byte-identical to re-assembling the
+    whole edge list through scipy, uniform-weight detection included.
+    """
     n = graph.num_nodes
-    deletions, insertions, ins_weights = _directed_edges(delta)
-
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    dst = graph.indices
-    weight = graph.edge_weight if graph.edge_weight is not None else np.ones(dst.shape[0])
-    keys = src * n + dst
-
     # within-batch last-wins dedupe of insertions: keep the final occurrence
     # of each (src, dst)
     ins_keys = insertions[:, 0] * n + insertions[:, 1]
     if ins_keys.size:
         _, last_rev = np.unique(ins_keys[::-1], return_index=True)
         keep_ins = ins_keys.shape[0] - 1 - last_rev
-        insertions = insertions[keep_ins]
-        ins_weights = ins_weights[keep_ins]
         ins_keys = ins_keys[keep_ins]
+        ins_weights = ins_weights[keep_ins]
+    # every existing edge that is deleted or re-inserted (insert = overwrite)
+    drop_keys = np.unique(np.concatenate([deletions[:, 0] * n + deletions[:, 1], ins_keys]))
+    rows = np.unique(drop_keys // n)
 
-    # drop every existing edge that is deleted or re-inserted (insert =
-    # overwrite).  Deltas are tiny relative to E, so binary-search the sorted
-    # drop set instead of np.isin (which sorts all E keys).
-    drop_keys = np.unique(
-        np.concatenate([deletions[:, 0] * n + deletions[:, 1], ins_keys])
+    old_weight = graph.edge_weight
+    starts = graph.indptr[rows]
+    counts = graph.indptr[rows + 1] - starts
+    flat = span_positions(starts, counts)
+    keys = np.repeat(rows, counts) * n + graph.indices[flat]
+    keep = drop_keys[np.minimum(np.searchsorted(drop_keys, keys), drop_keys.size - 1)] != keys
+    kept_weights = old_weight[flat[keep]] if old_weight is not None else np.ones(int(keep.sum()))
+    # the surviving and inserted keys are disjoint, so sorting them orders
+    # each touched row by column
+    merged = np.concatenate([keys[keep], ins_keys])
+    order = np.argsort(merged)
+    merged_keys = merged[order]
+    merged_weights = np.concatenate([kept_weights, ins_weights])[order]
+
+    row_counts = np.diff(graph.indptr)
+    row_counts[rows] = np.bincount(np.searchsorted(rows, merged_keys // n), minlength=rows.size)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    # scipy's assembly stores no weights when every one is close to 1: an
+    # unweighted graph stays unweighted unless an inserted weight differs
+    weighted = old_weight is not None or not np.allclose(ins_weights, 1.0)
+    weights = np.empty(indices.size) if weighted else None
+    # untouched spans between touched rows are copied whole
+    for lo, hi in zip(np.concatenate([[0], rows + 1]), np.concatenate([rows, [n]])):
+        source, dest = slice(graph.indptr[lo], graph.indptr[hi]), slice(indptr[lo], indptr[hi])
+        indices[dest] = graph.indices[source]
+        if weighted:
+            weights[dest] = old_weight[source] if old_weight is not None else 1.0
+    positions = span_positions(indptr[rows], row_counts[rows])
+    indices[positions] = merged_keys % n
+    if weighted:
+        weights[positions] = merged_weights
+        if np.allclose(weights, 1.0):
+            weights = None
+    return CSRGraph(
+        indptr=indptr, indices=indices, num_nodes=n, edge_weight=weights, name=graph.name
     )
-    positions = np.searchsorted(drop_keys, keys)
-    positions[positions == drop_keys.size] = 0
-    keep = drop_keys[positions] != keys if drop_keys.size else np.ones(keys.size, bool)
-    merged = sp.coo_matrix(
-        (
-            np.concatenate([weight[keep], ins_weights]),
-            (
-                np.concatenate([src[keep], insertions[:, 0]]),
-                np.concatenate([dst[keep], insertions[:, 1]]),
-            ),
-        ),
-        shape=(n, n),
-    )
-    return CSRGraph.from_scipy(merged.tocsr(), name=graph.name)
+
+
+def apply_delta(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
+    """Return the graph with ``delta`` applied (deletions, then insertions).
+
+    Only the rows the delta touches are rebuilt (see :func:`_patch_rows`).
+    The new graph carries its reverse, derived the same way from
+    ``graph.reverse()`` and the transposed delta, so frontier expansion and
+    row-local operator construction never reverse the whole graph twice.
+    """
+    delta.validate_for(graph)
+    if delta.insertions.shape[0] == 0 and delta.deletions.shape[0] == 0:
+        return graph
+    deletions, insertions, ins_weights = _directed_edges(delta)
+    updated = _patch_rows(graph, deletions, insertions, ins_weights)
+    reverse = _patch_rows(graph.reverse(), deletions[:, ::-1], insertions[:, ::-1], ins_weights)
+    object.__setattr__(updated, "_reverse", reverse)
+    return updated
 
 
 def apply_features(features: np.ndarray, delta: GraphDelta) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, span_positions
 from repro.graph.operators import operator_radius
 from repro.prepropagation.propagator import PropagationConfig
 from repro.updates.delta import GraphDelta
@@ -38,14 +38,7 @@ __all__ = ["affected_frontier", "expand_frontier", "expand_frontier_union"]
 def _neighbors(graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
     """Out-neighbors of ``frontier`` via one flat-index gather (with dups)."""
     starts, stops = graph.neighbor_slices(frontier)
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    prefix = np.zeros(frontier.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=prefix[1:])
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
-    return graph.indices[flat]
+    return graph.indices[span_positions(starts, stops - starts)]
 
 
 def expand_frontier_union(
@@ -99,6 +92,9 @@ def affected_frontier(
     seeds = delta.seed_nodes()
     if seeds.size == 0:
         return seeds
+    # reverses are cached on the graphs; a graph from apply_delta carries one
+    # derived from its source's reverse plus the delta's edges, so a chain of
+    # updates reverses a full graph once, on the first delta
     radius = max(
         operator_radius(name, **config.kwargs_for(k))
         for k, name in enumerate(config.operators)

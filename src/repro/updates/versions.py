@@ -13,6 +13,7 @@ Layout::
     <root>/                  # version "base" (what preprocessing wrote)
     <root>.versions/
         CURRENT              # one line: the active version name
+        LINEAGE.json         # each version's identity (see below)
         v0001/               # complete, immutable store directories
         v0002/
         .staging/            # the in-flight update (journal + staged store)
@@ -22,15 +23,23 @@ fsync, the same publish discipline as the phase-journal manifest: the pointer
 either names the old version or the new one, never a torn in-between.  Old
 versions are kept until :meth:`VersionedStore.prune` — never pruned
 automatically, because a serving engine may still be pinned to one.
+
+``LINEAGE.json`` maps a version to its recorded identity: the fingerprint of
+the update that produced it, plus that update's source version and the
+source's fingerprint.  An update's identity chains off its source's record
+(:func:`repro.updates.apply.apply_update`), so no update ever re-hashes the
+graph or the store; the record is written before the version is renamed into
+place, so every published version has one.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
 from pathlib import Path
-from typing import List
+from typing import Dict, List, Optional
 
 from repro.prepropagation.store import FeatureStore
 
@@ -40,6 +49,7 @@ __all__ = ["VersionedStore", "BASE_VERSION"]
 BASE_VERSION = "base"
 
 _CURRENT_FILENAME = "CURRENT"
+_LINEAGE_FILENAME = "LINEAGE.json"
 _STAGING_DIRNAME = ".staging"
 _VERSION_PATTERN = re.compile(r"^v(\d{4,})$")
 
@@ -51,6 +61,7 @@ class VersionedStore:
         self.base_root = Path(base_root)
         self.versions_root = self.base_root.parent / f"{self.base_root.name}.versions"
         self.current_path = self.versions_root / _CURRENT_FILENAME
+        self.lineage_path = self.versions_root / _LINEAGE_FILENAME
 
     # ------------------------------------------------------------------ #
     def current_version(self) -> str:
@@ -120,13 +131,42 @@ class VersionedStore:
         """Atomically (write-temp + fsync + replace + dir fsync) repoint CURRENT."""
         if version != BASE_VERSION and not _VERSION_PATTERN.match(version):
             raise ValueError(f"invalid version name {version!r}")
+        self._replace_file(self.current_path, version + "\n")
+
+    def lineage(self) -> Dict[str, dict]:
+        """``{version: {"fingerprint", "source_version", "source_fingerprint"}}``."""
+        try:
+            return json.loads(self.lineage_path.read_text())
+        except (FileNotFoundError, json.JSONDecodeError):
+            return {}
+
+    def record_lineage(
+        self,
+        version: str,
+        fingerprint: str,
+        source_version: Optional[str] = None,
+        source_fingerprint: Optional[str] = None,
+    ) -> None:
+        """Durably record ``version``'s identity (replacing any earlier record)."""
+        records = self.lineage()
+        records[version] = {
+            "fingerprint": fingerprint,
+            "source_version": source_version,
+            "source_fingerprint": source_fingerprint,
+        }
+        self._write_lineage(records)
+
+    def _write_lineage(self, records: Dict[str, dict]) -> None:
+        self._replace_file(self.lineage_path, json.dumps(records, indent=2, sort_keys=True))
+
+    def _replace_file(self, path: Path, text: str) -> None:
         self.versions_root.mkdir(parents=True, exist_ok=True)
-        temp = self.current_path.with_suffix(".tmp")
+        temp = path.with_suffix(".tmp")
         with open(temp, "w") as handle:
-            handle.write(version + "\n")
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(temp, self.current_path)
+        os.replace(temp, path)
         try:
             fd = os.open(self.versions_root, os.O_RDONLY)
         except OSError:  # pragma: no cover - exotic filesystems
@@ -152,4 +192,7 @@ class VersionedStore:
         doomed = candidates[: max(0, len(candidates) - keep)]
         for version in doomed:
             shutil.rmtree(self.versions_root / version, ignore_errors=True)
+        records = self.lineage()
+        if any([records.pop(version, None) for version in doomed]):
+            self._write_lineage(records)
         return doomed

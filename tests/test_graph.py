@@ -32,6 +32,7 @@ from repro.graph import (
     to_networkx,
 )
 from repro.graph.generators import attach_label_correlated_edges
+from repro.graph.operators import PartialOperator, csr_rows
 from repro.graph.partition import partition_edge_cut
 
 
@@ -251,6 +252,35 @@ class TestOperators:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((tiny_graph.num_nodes, 1))
         assert np.var(op @ x) < np.var(x)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("normalized_adjacency", {}),
+            ("normalized_adjacency", {"make_undirected": False}),
+            ("normalized_adjacency", {"add_self_loop": False}),
+            ("random_walk", {}),
+            ("ppr", {"num_iterations": 2}),
+        ],
+    )
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_partial_operator_rows_byte_identical(self, name, kwargs, weighted):
+        """Row-local extraction equals rows of the full build, storage order included."""
+        rng = np.random.default_rng(4)
+        graph = from_edge_index(rng.integers(0, 60, size=(240, 2)), num_nodes=60)
+        if weighted:
+            # weights close to 1 on one direction only: symmetrization and the
+            # uniform-weight collapse both have to be replayed exactly
+            weights = rng.choice([0.5, 1.0, 1.0000000001, 2.0], size=graph.num_edges)
+            graph = CSRGraph(graph.indptr, graph.indices, 60, edge_weight=weights)
+        full = build_operator(name, graph, **kwargs)
+        partial = PartialOperator(name, graph, **kwargs)
+        for size in (1, 7, 60):
+            rows = np.unique(rng.integers(0, 60, size))
+            want, got = csr_rows(full, rows), partial.rows(rows)
+            assert np.array_equal(want.indptr, got.indptr)
+            assert np.array_equal(want.indices, got.indices)
+            assert want.data.tobytes() == got.data.tobytes()
 
 
 class TestGenerators:

@@ -284,6 +284,20 @@ class TestFeatureStore:
         block = reloaded.gather_packed(rows)
         assert np.array_equal(block, np.stack(original.gather(rows)))
 
+    def test_hops_load_maps_read_only(self, small_dataset, tmp_path):
+        """Opening a hops-layout store maps its files; it reads no matrix eagerly."""
+        result = PreprocessingPipeline(
+            PropagationConfig(num_hops=2), root=tmp_path / "h", store_layout="hops"
+        ).run(small_dataset)
+        reloaded = FeatureStore.load(tmp_path / "h")
+        mapped = reloaded.matrices()
+        assert len(mapped) == result.store.num_matrices
+        for got, want in zip(mapped, result.store.matrices()):
+            assert isinstance(got, np.memmap)
+            assert not got.flags.writeable
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert reloaded.packed_matrix().tobytes() == result.store.packed_matrix().tobytes()
+
     def test_legacy_store_without_meta_loads_single_kernel(self, tmp_path):
         """Stores persisted before meta.json existed still load (one kernel)."""
         rng = np.random.default_rng(1)

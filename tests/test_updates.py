@@ -30,6 +30,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.graph.builders import from_edge_index, symmetrize
+from repro.graph.csr import CSRGraph
 from repro.graph.operators import operator_radius
 from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.propagator import PropagationConfig
@@ -124,6 +125,55 @@ class TestGraphDelta:
         assert updated[3, 0] == 0.0 and updated[0, 3] == 0.0
         # untouched edges keep their bytes
         assert updated[0, 1] == 1.0 and updated[2, 3] == 1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_local_apply_matches_rebuild(self, seed):
+        """Rewriting only touched rows equals re-assembling the whole edge list."""
+        rng = np.random.default_rng(seed)
+        graph = scenario_graph(seed=seed, num_nodes=50, num_edges=200)
+        if seed % 2:
+            weights = rng.choice([1.0, 2.5], size=graph.num_edges)
+            graph = CSRGraph(graph.indptr, graph.indices, 50, edge_weight=weights)
+        delta = GraphDelta(
+            insertions=rng.integers(0, 50, size=(6, 2)),
+            deletions=np.concatenate(
+                [rng.integers(0, 50, size=(2, 2)), np.stack([[0, graph.indices[0]]])]
+            ),
+            insertion_weights=rng.choice([1.0, 3.0], size=6) if seed % 3 else None,
+            symmetric=seed < 4,
+        )
+        # reference: dense edge set, deletions then insertions (last wins)
+        present = graph.to_scipy().toarray() != 0
+        weight = graph.to_scipy().toarray()
+        dels = delta.deletions
+        ins = delta.insertions
+        ins_w = delta.insertion_weights if delta.insertion_weights is not None else np.ones(6)
+        if delta.symmetric:
+            dels = np.concatenate([dels, dels[:, ::-1]])
+            ins, ins_w = np.concatenate([ins, ins[:, ::-1]]), np.concatenate([ins_w, ins_w])
+        present[dels[:, 0], dels[:, 1]] = False
+        for (u, v), w in zip(ins, ins_w):
+            present[u, v], weight[u, v] = True, w
+        src, dst = np.nonzero(present)
+        expected = CSRGraph.from_scipy(
+            sp.csr_matrix((weight[src, dst], (src, dst)), shape=(50, 50))
+        )
+        updated = apply_delta(graph, delta)
+        assert updated.indptr.tobytes() == expected.indptr.tobytes()
+        assert updated.indices.tobytes() == expected.indices.tobytes()
+        assert (updated.edge_weight is None) == (expected.edge_weight is None)
+        if expected.edge_weight is not None:
+            assert updated.edge_weight.tobytes() == expected.edge_weight.tobytes()
+        # the reverse it carries is the one a fresh transpose would build
+        fresh = CSRGraph(
+            updated.indptr, updated.indices, 50, edge_weight=updated.edge_weight
+        ).reverse()
+        carried = updated.reverse()
+        assert carried.indptr.tobytes() == fresh.indptr.tobytes()
+        assert carried.indices.tobytes() == fresh.indices.tobytes()
+        assert np.array_equal(
+            carried.to_scipy().toarray(), fresh.to_scipy().toarray()
+        )
 
     def test_feature_overwrites_last_wins(self):
         features = np.zeros((5, 3), dtype=np.float32)
@@ -337,6 +387,111 @@ class TestApplyUpdate:
             tmp_path / "store", first.new_graph, first.new_features, other, config
         )
         assert second.status == "applied" and second.version == "v0002"
+
+    def test_resubmitted_delta_against_its_result_publishes_nothing(self, tmp_path):
+        """Overwrite semantics: a delta applied to its own result is the same update."""
+        graph = scenario_graph()
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((400, 6)).astype(np.float32)
+        config = PropagationConfig(num_hops=2)
+        propagate_blocked(
+            graph, features, config, node_ids=np.arange(400), root=tmp_path / "store",
+            block_size=100,
+        )
+        delta = scenario_delta(graph, seed=32, feature_dim=6)
+        first = apply_update(tmp_path / "store", graph, features, delta, config)
+        again = apply_update(
+            tmp_path / "store", first.new_graph, first.new_features, delta, config
+        )
+        assert again.status == "applied" and again.version == "v0001"
+        assert again.previous_version == BASE_VERSION and again.resumed
+        assert VersionedStore(tmp_path / "store").list_versions() == ["v0001"]
+        assert again.new_graph.indices.tobytes() == first.new_graph.indices.tobytes()
+        assert again.new_features.tobytes() == first.new_features.tobytes()
+
+    def test_chained_update_hashes_no_full_array(self, tmp_path, monkeypatch):
+        """Only the base version's first update digests the snapshot; later ones chain."""
+        import repro.resilience.checkpoint as checkpoint
+        import repro.updates.apply as apply_module
+        import repro.updates.delta as delta_module
+
+        # a ring keeps each delta's frontier (and its journaled rows) local
+        num_nodes = 400
+        ring = np.arange(num_nodes)
+        graph = symmetrize(
+            from_edge_index(np.stack([ring, (ring + 1) % num_nodes], axis=1), num_nodes=num_nodes)
+        )
+        features = np.random.default_rng(5).standard_normal((num_nodes, 6)).astype(np.float32)
+        config = PropagationConfig(num_hops=2)
+        propagate_blocked(
+            graph, features, config, node_ids=ring, root=tmp_path / "store", block_size=100
+        )
+        first = apply_update(
+            tmp_path / "store", graph, features,
+            GraphDelta(insertions=np.array([[10, 14]])), config,
+        )
+        hashed_rows: list = []
+
+        def spy(array):
+            hashed_rows.append(np.asarray(array).shape[:1])
+            return checkpoint.digest_array(array)
+
+        for module in (apply_module, delta_module):
+            monkeypatch.setattr(module, "digest_array", spy)
+        second = apply_update(
+            tmp_path / "store", first.new_graph, first.new_features,
+            GraphDelta(insertions=np.array([[200, 205]]), deletions=np.array([[10, 14]])),
+            config,
+        )
+        assert second.status == "applied" and second.version == "v0002"
+        assert hashed_rows, "the patch journal digests rows; the spy saw nothing"
+        assert all(shape[0] < num_nodes for shape in hashed_rows if shape)
+
+    def test_timing_phases_sum_to_total(self, tmp_path):
+        graph = scenario_graph()
+        rng = np.random.default_rng(6)
+        features = rng.standard_normal((400, 6)).astype(np.float32)
+        config = PropagationConfig(num_hops=2)
+        propagate_blocked(
+            graph, features, config, node_ids=np.arange(400), root=tmp_path / "store",
+            block_size=100,
+        )
+        delta = scenario_delta(graph, seed=42)
+        fresh = apply_update(tmp_path / "store", graph, features, delta, config)
+        retry = apply_update(tmp_path / "store", graph, features, delta, config)
+        memory = apply_memory_update(fresh.store, graph, features, delta, config)
+        assert {"load", "delta", "frontier", "fingerprint", "clone", "patch", "verify",
+                "publish"} <= {key[: -len("_seconds")] for key in fresh.timing}
+        for timing in (fresh.timing, retry.timing, memory.timing):
+            phases = sum(v for k, v in timing.items() if k != "total_seconds")
+            assert phases == pytest.approx(timing["total_seconds"], rel=1e-9, abs=1e-9)
+
+    def test_compute_patches_memory_is_frontier_local(self):
+        """No (N, F) buffer: the peak tracks the frontier, not the graph."""
+        import tracemalloc
+
+        num_nodes, feature_dim = 40_000, 256
+        ring = np.arange(num_nodes)
+        graph = symmetrize(
+            from_edge_index(
+                np.stack([ring, (ring + 1) % num_nodes], axis=1), num_nodes=num_nodes
+            )
+        )
+        graph.reverse()  # built once per graph (cached), not per patch
+        features = np.ones((num_nodes, feature_dim), dtype=np.float32)
+        config = PropagationConfig(num_hops=3)
+        targets = np.array([100, 5000, 30000])
+        tracemalloc.start()
+        try:
+            nodes, _, patches = compute_patches(
+                graph, features, config, np.arange(num_nodes), targets
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nodes.tolist() == targets.tolist()
+        full_buffer = num_nodes * feature_dim * 8
+        assert peak < full_buffer / 100, f"peak {peak} B vs an (N, F) buffer of {full_buffer} B"
 
     def test_noop_when_frontier_misses_stored_rows(self, tmp_path):
         # two 4-cycles with no path between them; store only covers the first
@@ -745,6 +900,22 @@ class TestSessionUpdates:
                     session.apply_updates(delta2)
             finally:
                 session._update_lock.release()
+
+    def test_session_update_timing_includes_swap(self, tmp_path, small_dataset):
+        import copy
+
+        from repro.api import Session
+
+        dataset = copy.copy(small_dataset)
+        with Session(dataset, root=tmp_path / "store") as session:
+            session.preprocess(num_hops=2, mode="blocked")
+            session.serve(ServingConfig(cache_capacity=32, window_seconds=0.001))
+            result = session.apply_updates(scenario_delta(dataset.graph, seed=25))
+        assert result.status == "applied"
+        timing = result.timing
+        assert timing["swap_seconds"] > 0.0
+        phases = sum(v for k, v in timing.items() if k != "total_seconds")
+        assert phases == pytest.approx(timing["total_seconds"], rel=1e-9, abs=1e-9)
 
     def test_memory_session_updates(self, small_dataset):
         import copy
